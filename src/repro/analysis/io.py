@@ -66,7 +66,7 @@ def _record_from_dict(payload: dict) -> RoundRecord:
         elapsed=payload["elapsed"],
         energy=payload["energy"],
         missed=payload["missed"],
-        explored=[DvfsConfiguration(*c) for c in payload["explored"]],
+        explored=tuple(DvfsConfiguration(*c) for c in payload["explored"]),
         explored_on_final_front=payload.get("explored_on_final_front"),
         exploited_jobs=payload.get("exploited_jobs", 0),
         guardian_triggered=payload.get("guardian_triggered", False),
@@ -83,7 +83,7 @@ def campaign_to_dict(result: CampaignResult) -> dict:
         "task": result.task,
         "deadline_ratio": result.deadline_ratio,
         "records": [_record_to_dict(r) for r in result.records],
-        "final_front": result.final_front,
+        "final_front": None if result.final_front is None else list(result.final_front),
     }
     if result.chaos is not None:
         payload["chaos"] = {
@@ -105,28 +105,26 @@ def campaign_from_dict(payload: dict) -> CampaignResult:
             f"unsupported campaign format version {version!r} "
             f"(this library reads version {FORMAT_VERSION})"
         )
-    result = CampaignResult(
+    front = payload.get("final_front")
+    chaos = payload.get("chaos")
+    return CampaignResult(
         controller=payload["controller"],
         device=payload["device"],
         task=payload["task"],
         deadline_ratio=payload["deadline_ratio"],
-        records=[_record_from_dict(r) for r in payload["records"]],
-    )
-    front = payload.get("final_front")
-    result.final_front = (
-        None if front is None else [(float(t), float(e)) for t, e in front]
-    )
-    chaos = payload.get("chaos")
-    if chaos is not None:
-        result.chaos = ChaosSummary(
+        records=tuple(_record_from_dict(r) for r in payload["records"]),
+        final_front=(
+            None if front is None else tuple((float(t), float(e)) for t, e in front)
+        ),
+        chaos=None if chaos is None else ChaosSummary(
             injected=tuple((int(r), str(k)) for r, k in chaos["injected"]),
             checkpoints=chaos.get("checkpoints", 0),
             restores=chaos.get("restores", 0),
             escalations=chaos.get("escalations", 0),
             dropped_rounds=chaos.get("dropped_rounds", 0),
             lost_reports=chaos.get("lost_reports", 0),
-        )
-    return result
+        ),
+    )
 
 
 def save_campaign(result: CampaignResult, path: Union[str, pathlib.Path]) -> None:

@@ -56,12 +56,6 @@ class LinearPaceController(PaceController):
     ) -> RoundRecord:
         budget = RoundBudget(total_jobs=jobs, deadline=deadline)
         energy_start = self.device.energy_consumed
-        record = RoundRecord(
-            round_index=round_index,
-            phase="linear_pace",
-            deadline=deadline,
-            jobs=jobs,
-        )
         if self._t_xmax is None:
             # Calibrate the linear model's anchor with one job at x_max.
             self.device.set_configuration(self._x_max)
@@ -83,17 +77,22 @@ class LinearPaceController(PaceController):
                 self.device.set_configuration(self._x_max)
                 sprinting = True
                 self.sprints += 1
-                record.guardian_triggered = True
             result = self._run_one_job(budget, on_job)
             if result.latency > self._t_xmax:
                 # keep the anchor honest (x_max jobs only)
                 if self.device.current_configuration == self._x_max:
                     self._t_xmax = result.latency
-        record.elapsed = budget.elapsed
-        record.energy = self.device.energy_consumed - energy_start
-        record.missed = budget.elapsed > deadline + 1e-9
-        record.exploited_jobs = jobs
-        return record
+        return RoundRecord(
+            round_index=round_index,
+            phase="linear_pace",
+            deadline=deadline,
+            jobs=jobs,
+            elapsed=budget.elapsed,
+            energy=self.device.energy_consumed - energy_start,
+            missed=budget.elapsed > deadline + 1e-9,
+            exploited_jobs=jobs,
+            guardian_triggered=sprinting,
+        )
 
     def _behind_schedule(self, budget: RoundBudget) -> bool:
         if self._t_xmax is None:

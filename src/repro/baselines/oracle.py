@@ -67,12 +67,7 @@ class OracleController(PaceController):
     ) -> RoundRecord:
         budget = RoundBudget(total_jobs=jobs, deadline=deadline)
         energy_start = self.device.energy_consumed
-        record = RoundRecord(
-            round_index=round_index,
-            phase="oracle",
-            deadline=deadline,
-            jobs=jobs,
-        )
+        exploited_jobs = 0
         try:
             schedule = self._plan(jobs, deadline)
             for entry in schedule:
@@ -81,15 +76,21 @@ class OracleController(PaceController):
                     if budget.finished:
                         break
                     self._run_one_job(budget, on_job)
-                    record.exploited_jobs += 1
+                    exploited_jobs += 1
         except InfeasibleError:
             pass  # fall through to the sprint below
         if not budget.finished:
             self.device.set_configuration(self._x_max)
             while not budget.finished:
                 self._run_one_job(budget, on_job)
-                record.exploited_jobs += 1
-        record.elapsed = budget.elapsed
-        record.energy = self.device.energy_consumed - energy_start
-        record.missed = budget.elapsed > deadline + 1e-9
-        return record
+                exploited_jobs += 1
+        return RoundRecord(
+            round_index=round_index,
+            phase="oracle",
+            deadline=deadline,
+            jobs=jobs,
+            elapsed=budget.elapsed,
+            energy=self.device.energy_consumed - energy_start,
+            missed=budget.elapsed > deadline + 1e-9,
+            exploited_jobs=exploited_jobs,
+        )

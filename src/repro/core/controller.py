@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -53,6 +53,20 @@ from repro.types import (
 #: Models the cost of one MBO engine run: (n_observations, batch_size) ->
 #: (latency seconds, energy Joules).  ``None`` means free (unit tests).
 MBOCostFn = Callable[[int, int], tuple[float, float]]
+
+
+@dataclass
+class RoundTally:
+    """What a BoFL round in progress has done so far.
+
+    The round's helpers accumulate into it; :meth:`BoFLController._execute_round`
+    builds the round's immutable :class:`RoundRecord` from it once, when
+    the round ends.
+    """
+
+    explored: list[DvfsConfiguration] = field(default_factory=list)
+    exploited_jobs: int = 0
+    guardian_triggered: bool = False
 
 
 @dataclass(frozen=True)
@@ -247,45 +261,52 @@ class BoFLController(PaceController):
         on_job: Optional[JobCallback],
     ) -> RoundRecord:
         budget = RoundBudget(total_jobs=jobs, deadline=deadline)
-        record = RoundRecord(
-            round_index=round_index,
-            phase=self.phase.value,
-            deadline=deadline,
-            jobs=jobs,
-        )
+        phase = self.phase.value
+        tally = RoundTally()
+        mbo: Optional[MBOReport] = None
         escalated = self._escalation_rounds > 0
         if escalated:
             # Safe-harbor mode (resilience escalation): the whole round runs
             # at x_max.  No measurements, no MBO, no phase advance — the
             # learning machinery idles until the pin drains.
             self._escalation_rounds -= 1
-            record.guardian_triggered = True
-            self._drain_at_x_max(budget, record, on_job)
+            tally.guardian_triggered = True
+            self._drain_at_x_max(budget, tally, on_job)
         else:
             if self.phase is Phase.PARETO_CONSTRUCTION:
-                record.mbo = self._run_mbo_engine()
+                mbo = self._run_mbo_engine()
                 if obs.enabled():
                     obs.emit(
                         "mbo.run",
                         t=self.device.clock.now,
                         round=round_index,
-                        latency=record.mbo.latency,
-                        energy=record.mbo.energy,
-                        n_observations=record.mbo.n_observations,
-                        batch_size=record.mbo.batch_size,
+                        latency=mbo.latency,
+                        energy=mbo.energy,
+                        n_observations=mbo.n_observations,
+                        batch_size=mbo.batch_size,
                     )
             if self.phase is Phase.EXPLOITATION:
-                self._run_exploitation_round(budget, record, on_job)
+                self._run_exploitation_round(budget, tally, on_job)
             else:
                 queue = (
                     self._exploration_queue
                     if self.phase is Phase.RANDOM_EXPLORATION
                     else self._pending_suggestions
                 )
-                self._run_exploration_round(queue, budget, record, on_job)
-        record.elapsed = budget.elapsed
-        record.energy = self.device.energy_consumed - self._energy_start
-        record.missed = budget.elapsed > deadline + 1e-9
+                self._run_exploration_round(queue, budget, tally, on_job)
+        record = RoundRecord(
+            round_index=round_index,
+            phase=phase,
+            deadline=deadline,
+            jobs=jobs,
+            elapsed=budget.elapsed,
+            energy=self.device.energy_consumed - self._energy_start,
+            missed=budget.elapsed > deadline + 1e-9,
+            explored=tuple(tally.explored),
+            exploited_jobs=tally.exploited_jobs,
+            guardian_triggered=tally.guardian_triggered,
+            mbo=mbo,
+        )
         if not escalated:
             self._advance_phase(round_index, budget)
         if obs.enabled():
@@ -328,7 +349,7 @@ class BoFLController(PaceController):
         self,
         queue: deque[DvfsConfiguration],
         budget: RoundBudget,
-        record: RoundRecord,
+        tally: RoundTally,
         on_job: Optional[JobCallback],
     ) -> None:
         while queue and not budget.finished:
@@ -338,19 +359,19 @@ class BoFLController(PaceController):
                 # Defensive: x_max must be measured before anything else.
                 config = self._x_max
             if not first_measurement and not self.guardian.allows_exploration(budget):
-                record.guardian_triggered = True
-                self._drain_at_x_max(budget, record, on_job)
+                tally.guardian_triggered = True
+                self._drain_at_x_max(budget, tally, on_job)
                 if self.phase is Phase.RANDOM_EXPLORATION:
                     self._phase1_durations.append(budget.elapsed)
                 return
             if queue[0] == config:
                 queue.popleft()
             sample, results = self.measurer.measure(self.device, config, budget, on_job)
-            self._record_sample(sample, results, record)
+            self._record_sample(sample, results, tally)
         if not budget.finished:
             # Last-round exploitation (§4.2): candidates exhausted but jobs
             # remain — run them on the best observed profile.
-            self._execute_best_profile(budget, record, on_job)
+            self._execute_best_profile(budget, tally, on_job)
         if self.phase is Phase.RANDOM_EXPLORATION:
             self._phase1_durations.append(budget.elapsed)
 
@@ -358,7 +379,7 @@ class BoFLController(PaceController):
         self,
         sample: PerformanceSample,
         results: tuple[JobResult, ...],
-        record: RoundRecord,
+        tally: RoundTally,
     ) -> None:
         merged = self.store.add(sample)
         self.optimizer.add_observation(merged.config, merged.latency, merged.energy)
@@ -373,10 +394,10 @@ class BoFLController(PaceController):
         else:
             for result in results:
                 self.guardian.observe_job_latency(result.latency)
-        record.explored.append(sample.config)
+        tally.explored.append(sample.config)
 
     def _drain_at_x_max(
-        self, budget: RoundBudget, record: RoundRecord, on_job: Optional[JobCallback]
+        self, budget: RoundBudget, tally: RoundTally, on_job: Optional[JobCallback]
     ) -> None:
         """Guardian fallback: run every remaining job at ``x_max``."""
         self.device.set_configuration(self._x_max)
@@ -387,13 +408,13 @@ class BoFLController(PaceController):
     # -- exploitation ----------------------------------------------------------
 
     def _execute_best_profile(
-        self, budget: RoundBudget, record: RoundRecord, on_job: Optional[JobCallback]
+        self, budget: RoundBudget, tally: RoundTally, on_job: Optional[JobCallback]
     ) -> None:
         """Plan and execute the energy-minimal schedule for remaining jobs."""
         if budget.time_remaining <= 0:
             # Already past the deadline (only reachable with the guardian
             # disabled): sprint to limit the damage; the miss is recorded.
-            self._drain_at_x_max(budget, record, on_job)
+            self._drain_at_x_max(budget, tally, on_job)
             return
         try:
             schedule = self.planner.plan(
@@ -403,16 +424,16 @@ class BoFLController(PaceController):
             # Not even the fastest observed pace fits: sprint at x_max and
             # accept what happens (with the guardian active this is
             # unreachable except under extreme deadline settings).
-            record.guardian_triggered = True
-            self._drain_at_x_max(budget, record, on_job)
+            tally.guardian_triggered = True
+            self._drain_at_x_max(budget, tally, on_job)
             return
-        self._execute_schedule(schedule, budget, record, on_job)
+        self._execute_schedule(schedule, budget, tally, on_job)
 
     def _execute_schedule(
         self,
         schedule: Schedule,
         budget: RoundBudget,
-        record: RoundRecord,
+        tally: RoundTally,
         on_job: Optional[JobCallback],
     ) -> None:
         """Run a schedule fastest-entries-first with a drift monitor."""
@@ -437,15 +458,15 @@ class BoFLController(PaceController):
                     and (plan_unfit or uncatchable)
                     and entry.config != self._x_max
                 ):
-                    record.guardian_triggered = True
-                    self._drain_at_x_max(budget, record, on_job)
+                    tally.guardian_triggered = True
+                    self._drain_at_x_max(budget, tally, on_job)
                     return
                 result = self._run_one_job(budget, on_job)
                 if entry.config == self._x_max:
                     self.guardian.observe_xmax_job(result.latency)
                 else:
                     self.guardian.observe_job_latency(result.latency)
-                record.exploited_jobs += 1
+                tally.exploited_jobs += 1
                 remaining_expected -= expected_job
                 # Drift detector: EWMA of the relative gap between planned
                 # and realized job latency.
@@ -468,12 +489,12 @@ class BoFLController(PaceController):
                     self.guardian.observe_xmax_job(result.latency)
                 else:
                     self.guardian.observe_job_latency(result.latency)
-                record.exploited_jobs += 1
+                tally.exploited_jobs += 1
 
     def _run_exploitation_round(
-        self, budget: RoundBudget, record: RoundRecord, on_job: Optional[JobCallback]
+        self, budget: RoundBudget, tally: RoundTally, on_job: Optional[JobCallback]
     ) -> None:
-        self._execute_best_profile(budget, record, on_job)
+        self._execute_best_profile(budget, tally, on_job)
 
     # -- MBO engine -------------------------------------------------------------
 

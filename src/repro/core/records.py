@@ -3,11 +3,16 @@
 These are the raw material of every evaluation figure: per-round energy
 (Figs. 9-10), exploration/Pareto walkthroughs (Table 3), and MBO overhead
 (Fig. 13) are all projections of :class:`RoundRecord` streams.
+
+Records and results are immutable values: the campaign memo, the
+executor and every fleet client built on one archetype share a single
+:class:`CampaignResult` instead of holding private copies.  Derive a
+changed value with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.types import DvfsConfiguration, Joules, Seconds
@@ -29,7 +34,7 @@ class MBOReport:
     suggestions: tuple[DvfsConfiguration, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundRecord:
     """Everything a controller did during one FL round."""
 
@@ -45,7 +50,7 @@ class RoundRecord:
     #: with the guardian enabled).
     missed: bool = False
     #: Configurations newly explored (measured) this round.
-    explored: list[DvfsConfiguration] = field(default_factory=list)
+    explored: tuple[DvfsConfiguration, ...] = ()
     #: Of the explored ones, how many sit on the final Pareto front — filled
     #: in retrospectively by the campaign runner (Table 3 semantics).
     explored_on_final_front: Optional[int] = None
@@ -91,7 +96,7 @@ class ChaosSummary:
         return self.restores + self.escalations
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignResult:
     """A full multi-round run of one controller on one device/task."""
 
@@ -99,9 +104,9 @@ class CampaignResult:
     device: str
     task: str
     deadline_ratio: float
-    records: list[RoundRecord] = field(default_factory=list)
+    records: tuple[RoundRecord, ...] = ()
     #: The controller's final Pareto-front objective values, if it has one.
-    final_front: Optional[list[tuple[Seconds, Joules]]] = None
+    final_front: Optional[tuple[tuple[Seconds, Joules], ...]] = None
     #: Fault-injection summary when the campaign ran under a chaos schedule.
     chaos: Optional[ChaosSummary] = None
 

@@ -24,6 +24,7 @@ controllers degrade gracefully to injection-only chaos.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.core.base import JobCallback, PaceController
@@ -73,13 +74,17 @@ class ChaosRoundEngine:
             record = self._dropped_round(round_index, jobs, deadline)
         else:
             effective_deadline = deadline * faults.deadline_factor
-            record = self.controller.run_round(jobs, effective_deadline, on_job)
+            ran = self.controller.run_round(jobs, effective_deadline, on_job)
             # The controller numbers rounds it actually ran; dropped rounds
             # make that counter lag the campaign's — renumber to campaign
-            # coordinates so the record stream stays contiguous.
-            record.round_index = round_index
+            # coordinates so the record stream stays contiguous.  A lost
+            # report turns the round into a miss for the server.
+            record = dataclasses.replace(
+                ran,
+                round_index=round_index,
+                missed=ran.missed or faults.loses_report,
+            )
             if faults.loses_report:
-                record.missed = True
                 self.log.lost_reports += 1
         self._recover(round_index, faults, record)
         return record

@@ -129,7 +129,8 @@ class FleetClient:
     #: campaign key by the fleet layer; the engine itself never reads it.
     fault_schedule: Optional[FaultSchedule] = None
     #: The client's local-round trace (one entry per local round).
-    records: list[RoundRecord] = field(default_factory=list)
+    #: Archetype mates share one immutable tuple; engines never mutate it.
+    records: Sequence[RoundRecord] = ()
 
     def stalled_in(self, local_round: int) -> Optional[FaultSpec]:
         """The transport-stall window covering ``local_round``, if any."""
@@ -539,12 +540,21 @@ class AsyncFederationEngine:
         self._upload_rngs: Optional[dict[str, np.random.Generator]] = None
         #: Next unconsumed local round per client.
         self._cursor = {c.client_id: 0 for c in self.clients}
+        #: ``async`` caps every client's trace at the run's ``rounds``
+        #: (set by :meth:`run`); ``None`` composes full traces.
+        self._trace_cap: Optional[int] = None
 
     # -- shared mechanics ----------------------------------------------------
 
+    def _trace_length(self, client: FleetClient) -> int:
+        """The client's composable local rounds (capped in ``async``)."""
+        if self._trace_cap is None:
+            return len(client.records)
+        return min(len(client.records), self._trace_cap)
+
     def _next_record(self, client: FleetClient) -> Optional[RoundRecord]:
         cursor = self._cursor[client.client_id]
-        if cursor >= len(client.records):
+        if cursor >= self._trace_length(client):
             return None
         self._cursor[client.client_id] = cursor + 1
         return client.records[cursor]
@@ -607,7 +617,7 @@ class AsyncFederationEngine:
         edges: list[int] = []
         for report in buffered:
             client = self._by_id[report.client_id]
-            trace_rounds = max(len(client.records), 1)
+            trace_rounds = max(self._trace_length(client), 1)
             progresses.append((report.local_round + 1) / trace_rounds)
             weights.append(report.weight)
             if self.hierarchy is not None:
@@ -697,6 +707,9 @@ class AsyncFederationEngine:
         """
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
+        # Bound every client's streaming trace at ``rounds`` local rounds
+        # so sync and async consume identical work.
+        self._trace_cap = rounds if self.mode == "async" else None
         if obs.enabled():
             obs.emit(
                 "fleet.start",
@@ -938,9 +951,6 @@ class AsyncFederationEngine:
         heap: list[tuple[Seconds, int, _Arrival]] = []
         order = 0
         for client in self.clients:
-            # Bound every client's streaming trace at ``rounds`` local
-            # rounds so sync and async consume identical work.
-            del client.records[rounds:]
             arrival = self._launch(client, 0.0, order, version)
             if arrival is not None:
                 heapq.heappush(heap, (arrival.at, arrival.order, arrival))

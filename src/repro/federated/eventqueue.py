@@ -40,15 +40,17 @@ from __future__ import annotations
 import heapq
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.errors import ConfigurationError
 from repro.federated.transport import LinkModel
 
 if TYPE_CHECKING:
+    from repro.core.records import RoundRecord
     from repro.federated.async_engine import FleetClient
 
 
@@ -145,7 +147,7 @@ def build_trace_arrays(
     """Flatten client traces into columns (optionally sharded over threads).
 
     ``rounds_cap`` bounds every client's composable trace (the async
-    engine's ``del records[rounds:]`` semantics); the full trace length is
+    engine's per-client cap at ``rounds``); the full trace length is
     still recorded per client for the sync progress divisor.  ``shards``
     partitions the upload-draw fill over contiguous client ranges on a
     thread pool — a pure write-disjoint parallelization, byte-identical
@@ -164,47 +166,43 @@ def build_trace_arrays(
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     n_events = int(offsets[-1])
+    # Archetype-pooled fleets share one immutable records tuple between
+    # clients: extract each unique (trace, length) prefix once, then tile
+    # those columns across the fleet with one gather per column.
+    slot_of_trace: dict[tuple[int, int], int] = {}
+    unique: list[RoundRecord] = []
+    unique_starts: list[int] = []
+    slots: list[int] = []
+    for client, length in zip(clients, lengths.tolist()):
+        key = (id(client.records), length)
+        slot = slot_of_trace.get(key)
+        if slot is None:
+            slot = slot_of_trace[key] = len(unique_starts)
+            unique_starts.append(len(unique))
+            unique.extend(client.records[:length])
+        slots.append(slot)
+    # Event e of client i reads unique row starts[slot(i)] + (e - offsets[i]).
+    gather = np.repeat(
+        np.asarray(unique_starts, dtype=np.int64)[slots] - offsets[:-1], lengths
+    ) + np.arange(n_events, dtype=np.int64)
+
+    def column(values: Iterable[object], dtype: DTypeLike) -> np.ndarray:
+        return np.fromiter(values, dtype=dtype, count=len(unique))[gather]
+
     arrays = FleetTraceArrays(
         client_ids=[c.client_id for c in clients],
         offsets=offsets,
-        elapsed=np.zeros(n_events),
-        energy=np.zeros(n_events),
-        deadline=np.zeros(n_events),
+        elapsed=column((r.elapsed for r in unique), float),
+        energy=column((r.energy for r in unique), float),
+        deadline=column((r.deadline for r in unique), float),
         upload=np.zeros(n_events),
-        missed=np.zeros(n_events, dtype=bool),
-        dropped=np.zeros(n_events, dtype=bool),
+        missed=column((r.missed for r in unique), bool),
+        dropped=column((r.phase == "dropped" for r in unique), bool),
         n_samples=np.fromiter(
             (float(c.n_samples) for c in clients), dtype=float, count=n
         ),
         full_lengths=full_lengths,
     )
-    # Archetype-pooled fleets share RoundRecord objects between clients;
-    # extracting each unique trace once collapses the 100k-client column
-    # fill to one pass per archetype variant.
-    column_cache: dict[
-        tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    ] = {}
-    for i, client in enumerate(clients):
-        start, end = int(offsets[i]), int(offsets[i + 1])
-        if start == end:
-            continue
-        records = client.records[: end - start]
-        key = tuple(id(r) for r in records)
-        cached = column_cache.get(key)
-        if cached is None:
-            cached = (
-                np.fromiter((r.elapsed for r in records), dtype=float),
-                np.fromiter((r.energy for r in records), dtype=float),
-                np.fromiter((r.deadline for r in records), dtype=float),
-                np.fromiter((r.missed for r in records), dtype=bool),
-                np.fromiter((r.phase == "dropped" for r in records), dtype=bool),
-            )
-            column_cache[key] = cached
-        arrays.elapsed[start:end] = cached[0]
-        arrays.energy[start:end] = cached[1]
-        arrays.deadline[start:end] = cached[2]
-        arrays.missed[start:end] = cached[3]
-        arrays.dropped[start:end] = cached[4]
     n_shards = 1 if shards is None else min(shards, n)
     if n_shards <= 1:
         _fill_uploads(clients, arrays, link, 0, n)

@@ -178,7 +178,7 @@ def _run_rounds(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
     offsets = arrays.offsets
     lengths = arrays.lengths
     # Sync progress divides by the client's *full* trace length — the
-    # legacy engine never trims records outside async mode.
+    # legacy engine caps traces at ``rounds`` only in async mode.
     full_div = np.maximum(arrays.full_lengths, 1)
     index_arr = _client_indices(engine)
     n_samples = arrays.n_samples
@@ -372,10 +372,6 @@ def _run_async_fast(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
     arrays = build_trace_arrays(
         engine.clients, engine.link, rounds_cap=rounds, shards=engine.shards
     )
-    for client in engine.clients:
-        # Object-level parity with the legacy drain, which trims its own
-        # copy of every trace to ``rounds`` before streaming.
-        del client.records[rounds:]
     n = arrays.n_clients
     result = FleetResult(mode="async", n_clients=n)
     n_events = arrays.n_events
@@ -535,8 +531,6 @@ def _run_async_walk(engine: AsyncFederationEngine, rounds: int) -> FleetResult:
     arrays = build_trace_arrays(
         engine.clients, engine.link, rounds_cap=rounds, shards=engine.shards
     )
-    for client in engine.clients:
-        del client.records[rounds:]
     n = arrays.n_clients
     ids = arrays.client_ids
     offsets = arrays.offsets

@@ -18,13 +18,16 @@ Cache layering (checked in order, all keyed by
 3. a worker process computes the campaign ("computed") and the parent
    writes the result through both layers.
 
+Each unique key is looked up once per :meth:`CampaignExecutor.run` call
+and its (immutable) result is shared by every spec carrying that key, so
+a 10k-client fleet pooled onto 24 archetypes costs 24 lookups, not 10k.
+
 Per-campaign :class:`CampaignTiming` records (source + wall seconds) make
 long grids observable; pass a ``progress`` callback to stream them.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -244,8 +247,7 @@ class CampaignExecutor:
         key = spec.key()
         cached = _runner._CAMPAIGN_CACHE.get(key)
         if cached is not None:
-            # Defensive copy: the memo's value is private (see runner).
-            return copy.deepcopy(cached), "memory"
+            return cached, "memory"
         for layer in (self.cache, _runner.get_persistent_cache()):
             if layer is None:
                 continue
@@ -296,13 +298,22 @@ class CampaignExecutor:
 
         #: key -> list of spec indices still needing a result (dedup).
         pending: dict[CampaignKey, list[int]] = {}
+        #: key -> cache outcome, looked up once per unique key.
+        looked_up: dict[CampaignKey, tuple[Optional[CampaignResult], str]] = {}
         for index, spec in enumerate(specs):
+            key = spec.key()
             if use_cache:
-                hit, source = self._lookup(spec)
+                if key in looked_up:
+                    hit, source = looked_up[key]
+                else:
+                    hit, source = self._lookup(spec)
+                    # A hit on any layer primes the memo, so every later
+                    # spec with this key is a memory hit.
+                    looked_up[key] = (hit, "memory" if hit is not None else source)
                 if hit is not None:
                     finish(index, hit, 0.0, source)
                     continue
-            pending.setdefault(spec.key(), []).append(index)
+            pending.setdefault(key, []).append(index)
 
         if pending:
             if self.workers == 1:

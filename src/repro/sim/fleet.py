@@ -32,7 +32,6 @@ either subsystem knowing about the other.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import pathlib
 import zlib
@@ -327,9 +326,9 @@ def prepare_fleet(
     executor = CampaignExecutor(workers=workers, cache=cache, progress=progress)
     report = executor.run(specs, use_cache=use_cache)
     for client, result in zip(clients, report.results):
-        # A fresh list per client: duplicate keys share RoundRecord
-        # objects, and the async engine trims its own copy of the list.
-        client.records = list(result.records)
+        # Archetype mates share their campaign's immutable records tuple;
+        # the engines cap consumption at ``rounds`` without trimming it.
+        client.records = result.records
     return clients
 
 
@@ -343,9 +342,9 @@ def compose_fleet(
 ) -> FleetResult:
     """Run the federation engine over prepared traces (pure, serial).
 
-    Clients are cloned first, so the same prepared population can be
-    composed repeatedly — e.g. once per mode for a sync/semisync/async
-    comparison — without one composition consuming another's traces.
+    The engines only read the clients' immutable traces, so the same
+    prepared population can be composed repeatedly — e.g. once per mode
+    for a sync/semisync/async comparison.
 
     ``engine``/``detail``/``shards`` tune *how* the composition executes,
     never *what* it computes: ``engine="legacy"`` selects the retained
@@ -384,10 +383,7 @@ def compose_fleet(
         if shards is not None:
             obs.count("fleet.compose_shards", shards)
     fed_engine = AsyncFederationEngine(
-        [
-            dataclasses.replace(client, records=list(client.records))
-            for client in clients
-        ],
+        clients,
         mode=spec.mode,
         link=LinkModel(),
         selector=selector,

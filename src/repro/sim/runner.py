@@ -9,7 +9,7 @@ physical testbed.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import zlib
 from collections.abc import Callable
 from typing import Optional, Protocol
@@ -17,7 +17,7 @@ from typing import Optional, Protocol
 from repro.core.config import BoFLConfig
 from repro.core.controller import BoFLController
 from repro.core.base import PaceController
-from repro.core.records import CampaignResult, ChaosSummary
+from repro.core.records import CampaignResult, ChaosSummary, RoundRecord
 from repro.baselines import (
     LinearPaceController,
     OndemandGovernorController,
@@ -74,10 +74,9 @@ CONTROLLER_NAMES: tuple[str, ...] = (
     "ondemand",
 )
 
-#: The per-process memo.  Values are private copies: lookups return a
-#: defensive deepcopy so callers can mutate their result (``_annotate``
-#: does, and analysis code reasonably might) without corrupting the cache
-#: for every later caller.
+#: The per-process memo.  Values are immutable :class:`CampaignResult`
+#: objects, shared by reference with every caller: no lookup can change
+#: what a later lookup sees, so nothing is copied on the way in or out.
 _CAMPAIGN_CACHE: dict[CampaignKey, CampaignResult] = {}
 
 #: Optional durable layer underneath the in-memory memo (see
@@ -159,9 +158,9 @@ def prime_campaign_cache(key: CampaignKey, result: CampaignResult) -> None:
 
     Used by the parallel executor to make results computed in worker
     processes visible to subsequent in-process :func:`run_campaign` calls.
-    A private copy is stored, mirroring the fresh-result path.
+    The (immutable) result is stored as is, mirroring the fresh-result path.
     """
-    _CAMPAIGN_CACHE[key] = copy.deepcopy(result)
+    _CAMPAIGN_CACHE[key] = result
 
 
 def make_controller(
@@ -253,13 +252,13 @@ def run_campaign(
         cached = _CAMPAIGN_CACHE.get(key)
         if cached is not None:
             _emit_cache_event("memory", device_name, task_name, controller_name, seed)
-            return copy.deepcopy(cached)
+            return cached
         if _PERSISTENT_CACHE is not None:
             loaded = _PERSISTENT_CACHE.get(key)
             if loaded is not None:
                 _CAMPAIGN_CACHE[key] = loaded  # repro: allow[process-boundary] -- guarded by use_cache; pool workers call run(use_cache=False)
                 _emit_cache_event("disk", device_name, task_name, controller_name, seed)
-                return copy.deepcopy(loaded)
+                return loaded
         _emit_cache_event("miss", device_name, task_name, controller_name, seed)
 
     spec = get_device(device_name)
@@ -290,12 +289,7 @@ def run_campaign(
         t_min, rounds, seed=scenario_seed + 1
     )
 
-    result = CampaignResult(
-        controller=controller_name,
-        device=device_name,
-        task=task_name,
-        deadline_ratio=deadline_ratio,
-    )
+    records: list[RoundRecord] = []
     obs.emit(
         "campaign.start",
         t=device.clock.now,
@@ -353,7 +347,7 @@ def run_campaign(
             record = engine.run_round(index, jobs, deadline)
         else:
             record = controller.run_round(jobs, deadline)
-        result.records.append(record)
+        records.append(record)
         if tuner is not None:
             cumulative_energy += record.energy
             cumulative_elapsed += record.elapsed
@@ -369,9 +363,10 @@ def run_campaign(
                     makespan=cumulative_elapsed,
                 )
             )
+    chaos_summary: Optional[ChaosSummary] = None
     if engine is not None:
         engine.finish()
-        result.chaos = ChaosSummary(
+        chaos_summary = ChaosSummary(
             injected=tuple(engine.log.injected),
             checkpoints=engine.log.checkpoints,
             restores=engine.log.restores,
@@ -380,7 +375,17 @@ def run_campaign(
             lost_reports=engine.log.lost_reports,
         )
 
-    _annotate(result, controller)
+    result = _annotate(
+        CampaignResult(
+            controller=controller_name,
+            device=device_name,
+            task=task_name,
+            deadline_ratio=deadline_ratio,
+            records=tuple(records),
+            chaos=chaos_summary,
+        ),
+        controller,
+    )
     obs.emit(
         "campaign.end",
         t=device.clock.now,
@@ -394,22 +399,21 @@ def run_campaign(
         explored_total=result.explored_total,
     )
     if use_cache:
-        _CAMPAIGN_CACHE[key] = copy.deepcopy(result)  # repro: allow[process-boundary] -- guarded by use_cache; pool workers call run(use_cache=False)
+        _CAMPAIGN_CACHE[key] = result  # repro: allow[process-boundary] -- guarded by use_cache; pool workers call run(use_cache=False)
         if _PERSISTENT_CACHE is not None:
             _PERSISTENT_CACHE.put(key, result)
     return result
 
 
-def _annotate(result: CampaignResult, controller: PaceController) -> None:
-    """Fill retrospective fields (final front, Table 3 Pareto counts)."""
+def _annotate(result: CampaignResult, controller: PaceController) -> CampaignResult:
+    """The result with its retrospective fields filled in.
+
+    Sets the final front and, for BoFL, the Table 3 Pareto count of
+    every record.
+    """
     if isinstance(controller, BoFLController):
         front_configs, front_values = controller.store.pareto_set()
-        result.final_front = [(float(t), float(e)) for t, e in front_values]
         front_set = set(front_configs)
-        for record in result.records:
-            record.explored_on_final_front = sum(
-                1 for c in record.explored if c in front_set
-            )
         if obs.enabled():
             # The trace-side Table 3 derivation needs the final front's
             # *configurations*, not just its objective values.
@@ -419,10 +423,27 @@ def _annotate(result: CampaignResult, controller: PaceController) -> None:
                 configs=[list(c.as_tuple()) for c in front_configs],
                 values=[[float(t), float(e)] for t, e in front_values],
             )
-    elif isinstance(controller, OracleController):
-        result.final_front = [
-            (float(t), float(e)) for t, e in controller.pareto_values
-        ]
+        return dataclasses.replace(
+            result,
+            final_front=tuple((float(t), float(e)) for t, e in front_values),
+            records=tuple(
+                dataclasses.replace(
+                    record,
+                    explored_on_final_front=sum(
+                        1 for c in record.explored if c in front_set
+                    ),
+                )
+                for record in result.records
+            ),
+        )
+    if isinstance(controller, OracleController):
+        return dataclasses.replace(
+            result,
+            final_front=tuple(
+                (float(t), float(e)) for t, e in controller.pareto_values
+            ),
+        )
+    return result
 
 
 def _emit_cache_event(

@@ -17,22 +17,22 @@ from repro.core.records import CampaignResult, RoundRecord
 from repro.errors import ConfigurationError
 
 
-def campaign(controller, energies, phases=None, **overrides):
-    result = CampaignResult(
+def campaign(controller, energies, phases=None, explored=None, **overrides):
+    phases = phases or ["exploitation"] * len(energies)
+    explored = explored or [()] * len(energies)
+    return CampaignResult(
         controller=controller,
         device=overrides.get("device", "agx"),
         task=overrides.get("task", "vit"),
         deadline_ratio=overrides.get("ratio", 2.0),
-    )
-    for i, energy in enumerate(energies):
-        phase = (phases or ["exploitation"] * len(energies))[i]
-        result.records.append(
+        records=tuple(
             RoundRecord(
-                round_index=i, phase=phase, deadline=50.0, jobs=100,
-                elapsed=45.0, energy=energy,
+                round_index=i, phase=phases[i], deadline=50.0, jobs=100,
+                elapsed=45.0, energy=energy, explored=explored[i],
             )
-        )
-    return result
+            for i, energy in enumerate(energies)
+        ),
+    )
 
 
 class TestComparisonMetrics:
@@ -61,8 +61,8 @@ class TestComparisonMetrics:
             "bofl",
             [1.0, 1.0, 1.0],
             phases=["random_exploration", "pareto_construction", "exploitation"],
+            explored=[(None,) * 3, (), ()],
         )
-        result.records[0].explored = [None] * 3  # type: ignore[list-item]
         explore_rounds, explored, exploit_rounds = exploration_summary(result)
         assert explore_rounds == 2
         assert explored == 3

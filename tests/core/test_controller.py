@@ -229,19 +229,17 @@ class TestGuardianSeesLeftoverJobs:
 
     @staticmethod
     def _run_leftovers(controller, jobs=3):
-        from repro.core.records import RoundRecord
+        from repro.core.controller import RoundTally
         from repro.types import RoundBudget, Schedule
 
         # An exhausted plan: every job becomes a leftover.
         schedule = Schedule(entries=(), expected_latency=0.0, expected_energy=0.0)
         budget = RoundBudget(total_jobs=jobs, deadline=60.0)
-        record = RoundRecord(
-            round_index=0, phase="exploitation", deadline=60.0, jobs=jobs
-        )
-        controller._execute_schedule(schedule, budget, record, None)
+        tally = RoundTally()
+        controller._execute_schedule(schedule, budget, tally, None)
         assert budget.finished
-        assert record.exploited_jobs == jobs
-        return record
+        assert tally.exploited_jobs == jobs
+        return tally
 
     def test_leftovers_at_x_max_feed_the_running_mean(self, fast_config):
         config = build_tiny_spec().space.max_configuration()

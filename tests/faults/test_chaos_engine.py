@@ -122,7 +122,7 @@ class TestEscalation:
         record = engine.run_round(2, JOBS, deadline)
         assert record.guardian_triggered
         # Safe-harbor mode: no measurements, no phase advance.
-        assert record.explored == []
+        assert record.explored == ()
         assert engine.controller.phase is phase_before
         engine.run_round(3, JOBS, deadline)
         assert not engine.controller.escalation_active

@@ -72,7 +72,7 @@ def compose_with(spec, clients, engine_kind, **kwargs):
     elif spec.selector == "energy" and sized:
         selector = EnergyAwareSelector(selection_size, seed=spec.seed)
     engine = AsyncFederationEngine(
-        [dataclasses.replace(c, records=list(c.records)) for c in clients],
+        clients,
         mode=spec.mode,
         link=LinkModel(),
         selector=selector,

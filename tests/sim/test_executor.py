@@ -6,6 +6,8 @@ work unit derives its scenario seed from (device, task, ratio, seed)
 exactly as ``run_campaign`` does.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -141,8 +143,14 @@ class TestExecution:
         assert len(report.results) == 2
 
     def test_executor_results_do_not_alias_the_memo(self):
+        # Results are immutable values shared with the memo: a mutation
+        # attempt raises instead of reaching every later lookup.
         executor = CampaignExecutor(workers=1)
         first = executor.run([SPECS[0]]).results[0]
-        first.records.clear()  # caller mutates its copy
+        with pytest.raises(AttributeError):
+            first.records.clear()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.records = ()
         second = executor.run([SPECS[0]]).results[0]
         assert second.rounds == 3
+        assert second == first

@@ -158,13 +158,14 @@ class TestPrepareAndCompose:
         spec, clients = prepared
         assert all(len(c.records) == spec.rounds for c in clients)
 
-    def test_archetype_mates_share_trace_content_not_lists(self, prepared):
+    def test_archetype_mates_share_one_trace_tuple(self, prepared):
         _, clients = prepared
         a, b = clients[0], clients[6]  # same (device, task, archetype) cycle
         assert (a.device, a.task, a.trace_seed) == (b.device, b.task, b.trace_seed)
-        assert a.records == b.records
-        # Fresh list objects per client: the engine trims its own copy.
-        assert a.records is not b.records
+        # One immutable tuple per archetype: the engines cap consumption
+        # at ``rounds`` without trimming, so no client needs its own copy.
+        assert isinstance(a.records, tuple)
+        assert a.records is b.records
 
     def test_compose_is_repeatable_over_one_preparation(self, prepared):
         spec, clients = prepared

@@ -1,5 +1,7 @@
 """Unit tests for the campaign runner and the MBO cost model."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import BoFLConfig
@@ -71,34 +73,41 @@ class TestRunCampaign:
         oracle = run_campaign("agx", "vit", "oracle", 2.0, rounds=4, seed=0)
         assert performant.deadline_series() == oracle.deadline_series()
 
-    def test_cache_returns_equal_private_copies(self):
+    def test_cache_returns_equal_shared_values(self):
         a = run_campaign("agx", "vit", "performant", 2.0, rounds=3, seed=0)
         b = run_campaign("agx", "vit", "performant", 2.0, rounds=3, seed=0)
-        # Equal results, but never the same object: each caller gets a
-        # defensive copy so mutations cannot corrupt the cache.
+        # Equal results, and the very same object: the memo shares one
+        # immutable value instead of handing out defensive copies.
         assert a == b
-        assert a is not b
+        assert a is b
         clear_campaign_cache()
         c = run_campaign("agx", "vit", "performant", 2.0, rounds=3, seed=0)
         assert c == a
 
     def test_mutating_a_result_does_not_corrupt_the_cache(self):
         # Regression: the cache used to hand out its internal object by
-        # reference, so a caller clearing records (as _annotate mutates
-        # fresh results) poisoned every later lookup.
+        # reference while results were mutable, so a caller clearing
+        # records poisoned every later lookup.  Results are frozen now:
+        # the mutation attempts raise and the memo stays intact.
         first = run_campaign("agx", "vit", "performant", 2.0, rounds=3, seed=0)
-        first.records.clear()
-        first.final_front = [(0.0, 0.0)]
+        with pytest.raises(AttributeError):
+            first.records.clear()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.final_front = ((0.0, 0.0),)
         second = run_campaign("agx", "vit", "performant", 2.0, rounds=3, seed=0)
         assert second.rounds == 3
-        assert second.final_front != [(0.0, 0.0)]
+        assert second.final_front != ((0.0, 0.0),)
+        assert second == first
 
     def test_fresh_result_mutation_does_not_corrupt_the_cache(self):
         first = run_campaign("agx", "vit", "oracle", 2.0, rounds=3, seed=5)
-        record = first.records.pop()  # mutate the freshly computed object
+        with pytest.raises(AttributeError):
+            first.records.pop()  # mutate the freshly computed object
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.records[-1].missed = True
         second = run_campaign("agx", "vit", "oracle", 2.0, rounds=3, seed=5)
         assert second.rounds == 3
-        assert second.records[-1] == record
+        assert second == first
 
     def test_cache_bypass(self):
         a = run_campaign("agx", "vit", "performant", 2.0, rounds=3, seed=0)
