@@ -48,6 +48,7 @@ from numpy.typing import DTypeLike
 
 from repro.errors import ConfigurationError
 from repro.federated.transport import LinkModel
+from repro.hardware.noise import keyed_rng
 
 if TYPE_CHECKING:
     from repro.core.records import RoundRecord
@@ -113,7 +114,7 @@ def _fill_uploads(
         if n_live == 0:
             continue
         if variability > 0:
-            rng = np.random.default_rng(client.upload_seed)
+            rng = keyed_rng([client.upload_seed])
             draws = rng.normal(-0.5 * variability**2, variability, size=n_live)
             transfer = latency + client.model_size_mbit / (bandwidth * np.exp(draws))
         else:

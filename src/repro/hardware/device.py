@@ -84,6 +84,9 @@ class SimulatedDevice:
         self.spec = spec
         self.workload = workload
         self.model: AnalyticPerformanceModel = workload.performance_model(spec)
+        #: The shared objective tensor's per-index rows, fetched once so a
+        #: job reads its true latency, energy and busy times in one lookup.
+        self._job_rows = self.model.objective_tensor().rows
         self.clock = clock if clock is not None else SimulationClock()
         self.noise = noise if noise is not None else MeasurementNoise(seed)
         #: Optional thermal state (off by default, see hardware.thermal):
@@ -184,15 +187,12 @@ class SimulatedDevice:
         observable through the meter, with sensor noise).
         """
         config = self.dvfs.current
-        # One flat-index lookup into the shared objective tensor replaces
-        # three scalar surface evaluations on the per-minibatch hot path.
         index = self.space.flat_index_of(config)
-        true_latency, true_energy = self.model.objectives_at(index)
-        busy = self.model.busy_times_at(index)
+        true_latency, true_energy, busy_cpu, busy_gpu, busy_mem = self._job_rows[index]
         self._last_utilization = (
-            busy[0] / true_latency,
-            busy[1] / true_latency,
-            busy[2] / true_latency,
+            busy_cpu / true_latency,
+            busy_gpu / true_latency,
+            busy_mem / true_latency,
         )
         if self.thermal is not None:
             # Throttling stretches the job at (approximately) constant

@@ -131,6 +131,14 @@ class ConfigurationSpace:
         self.gpu = gpu
         self.mem = mem
         self._configs: Optional[list[DvfsConfiguration]] = None
+        #: Exact ``(cpu, gpu, mem)`` clocks -> flat index, built once here so
+        #: the per-minibatch :meth:`flat_index_of` is one hash lookup.
+        self._flat_index: dict[tuple[GHz, GHz, GHz], int] = {
+            clocks: i
+            for i, clocks in enumerate(
+                itertools.product(cpu.frequencies, gpu.frequencies, mem.frequencies)
+            )
+        }
 
     @property
     def tables(self) -> tuple[FrequencyTable, FrequencyTable, FrequencyTable]:
@@ -182,7 +190,15 @@ class ConfigurationSpace:
         )
 
     def flat_index_of(self, config: DvfsConfiguration) -> int:
-        """Return the position of ``config`` in :meth:`all_configurations`."""
+        """Return the position of ``config`` in :meth:`all_configurations`.
+
+        Exact table clocks hit the prebuilt map; anything else falls back
+        to the per-axis scans, which accept clocks within 1e-9 GHz of a
+        step and raise :class:`FrequencyError` off the table.
+        """
+        index = self._flat_index.get((config.cpu, config.gpu, config.mem))
+        if index is not None:
+            return index
         ci, gi, mi = self.indices_of(config)
         return (ci * len(self.gpu) + gi) * len(self.mem) + mi
 

@@ -19,17 +19,48 @@ produce bit-identical results.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.types import require_fraction, require_positive
 
+_WORD = 0xFFFFFFFF
+
+
+def _uint32_words(value: int) -> Iterator[int]:
+    """The 32-bit words of a non-negative int, least significant first."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"generator key entries must be non-negative, got {value}")
+    yield value & _WORD
+    value >>= 32
+    while value:
+        yield value & _WORD
+        value >>= 32
+
+
+def keyed_rng(key: Sequence[int]) -> np.random.Generator:
+    """The generator ``default_rng(SeedSequence(list(key)))`` returns.
+
+    ``SeedSequence`` splits each non-negative int of ``key`` into its
+    32-bit words (least significant first) and mixes the concatenation.
+    Handing it those words as one ``uint32`` array yields the same state
+    while skipping its per-element coercion of a Python list, which costs
+    more than the rest of the construction on the per-job path.  ``key``
+    must be non-empty.
+    """
+    words = list(key)
+    if min(words) < 0 or max(words) > _WORD:
+        words = [word for value in words for word in _uint32_words(value)]
+    return np.random.default_rng(
+        np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    )
+
 
 def _rng_for(seed: int, key: Iterable[int]) -> np.random.Generator:
     """Build a generator deterministically keyed by ``(seed, *key)``."""
-    material = [seed & 0xFFFFFFFF] + [int(k) & 0xFFFFFFFF for k in key]
-    return np.random.default_rng(np.random.SeedSequence(material))
+    return keyed_rng([seed & _WORD] + [int(k) & _WORD for k in key])
 
 
 class MeasurementNoise:
@@ -113,12 +144,24 @@ class MeasurementNoise:
         en = energy * self._bounded_factor(rng, self.sensor_energy_std * scale)
         return lat, en
 
+    def perturb_timing(self, key: Iterable[int], latency: float, duration: float) -> float:
+        """The latency half of :meth:`perturb_measurement` (no settling).
+
+        Same stream and same first draw; the energy factor that
+        :meth:`perturb_measurement` would draw next is never made.
+        """
+        rng = _rng_for(self.seed, list(key) + [0x2B])
+        scale = self.error_scale(duration)
+        return latency * self._bounded_factor(rng, self.sensor_latency_std * scale)
+
     @staticmethod
     def _bounded_factor(rng: np.random.Generator, std: float) -> float:
         """A multiplicative factor ``1 + N(0, std)`` clipped to stay positive."""
         if std <= 0:
             return 1.0
-        return float(np.clip(1.0 + rng.normal(0.0, std), 0.2, 1.8))
+        # Bit-equal to ``float(np.clip(..., 0.2, 1.8))`` on a float (NaN
+        # passes through both), without the ufunc dispatch.
+        return min(max(1.0 + rng.normal(0.0, std), 0.2), 1.8)
 
 
 class NoiselessMeasurement(MeasurementNoise):
@@ -148,3 +191,8 @@ class NoiselessMeasurement(MeasurementNoise):
         settling_overlap: float = 0.0,
     ) -> tuple[float, float]:  # noqa: D102 - inherited
         return latency, energy
+
+    def perturb_timing(
+        self, key: Iterable[int], latency: float, duration: float
+    ) -> float:  # noqa: D102 - inherited
+        return latency

@@ -121,6 +121,10 @@ class ObjectiveTensor:
     energies: np.ndarray
     #: ``(n, 3)`` per-unit (cpu, gpu, mem) busy seconds.
     busy_times: np.ndarray
+    #: Per index, ``(latency, energy, busy_cpu, busy_gpu, busy_mem)`` as
+    #: Python floats equal to the array entries: what one simulated job
+    #: reads, in one lookup without numpy scalar boxing.
+    rows: tuple[tuple[float, float, float, float, float], ...]
 
 
 #: Process-wide tensor cache.  Keys are built from the *values* that
@@ -289,7 +293,8 @@ class AnalyticPerformanceModel:
         busy_times = self._work[None, :] / freqs
         for array in (latencies, energies, busy_times):
             array.setflags(write=False)
-        tensor = ObjectiveTensor(latencies, energies, busy_times)
+        rows = tuple(zip(latencies.tolist(), energies.tolist(), *busy_times.T.tolist()))
+        tensor = ObjectiveTensor(latencies, energies, busy_times, rows)
         _TENSOR_CACHE[key] = tensor
         if obs.enabled():
             obs.count("perfmodel.tensor_builds")
@@ -303,16 +308,6 @@ class AnalyticPerformanceModel:
         space = self.device.space
         indices = np.array([space.flat_index_of(c) for c in configs], dtype=int)
         return tensor.latencies[indices], tensor.energies[indices]
-
-    def objectives_at(self, index: int) -> tuple[Seconds, Joules]:
-        """``(T, E)`` at a flat space index (see ``flat_index_of``)."""
-        tensor = self.objective_tensor()
-        return float(tensor.latencies[index]), float(tensor.energies[index])
-
-    def busy_times_at(self, index: int) -> tuple[float, float, float]:
-        """Per-unit busy seconds at a flat space index."""
-        times = self.objective_tensor().busy_times[index]
-        return (float(times[0]), float(times[1]), float(times[2]))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -33,9 +33,8 @@ class EventTimer:
     def time(self, true_latency: Seconds) -> Seconds:
         """Return the measured duration of a job that truly took ``true_latency``."""
         self._draws += 1
-        rng_key = [0xE7, self._draws]
-        measured, _ = self._noise.perturb_measurement(
-            rng_key, true_latency, 1.0, duration=max(true_latency, 1e-6)
+        measured = self._noise.perturb_timing(
+            [0xE7, self._draws], true_latency, duration=max(true_latency, 1e-6)
         )
         # Timing is far more accurate than the power sensor: shrink the
         # sensor-scale perturbation down to event-recording jitter.

@@ -276,9 +276,6 @@ def run_campaign(
         else None
     )
     device = SimulatedDevice(spec, task.workload, seed=scenario_seed, thermal=thermal)
-    # Build (or attach to) the shared whole-space objective tensor up
-    # front so the per-minibatch hot path is lookups from the first job.
-    device.model.objective_tensor()
     controller = make_controller(
         controller_name, device, seed=seed, bofl_config=bofl_config
     )

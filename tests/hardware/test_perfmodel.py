@@ -140,12 +140,15 @@ class TestObjectiveTensor:
             assert tensor.energies[index] == model.energy(config)
             assert tuple(tensor.busy_times[index]) == model.busy_times(config)
 
-    def test_objectives_at_uses_the_tensor(self, tiny_spec, tiny_workload):
+    def test_rows_match_scalar_objectives(self, tiny_spec, tiny_workload):
         model = tiny_workload.performance_model(tiny_spec)
-        config = tiny_spec.space.all_configurations()[3]
-        index = tiny_spec.space.flat_index_of(config)
-        assert model.objectives_at(index) == model.objectives(config)
-        assert model.busy_times_at(index) == model.busy_times(config)
+        rows = model.objective_tensor().rows
+        assert len(rows) == len(tiny_spec.space)
+        for config in tiny_spec.space.all_configurations():
+            row = rows[tiny_spec.space.flat_index_of(config)]
+            assert all(type(value) is float for value in row)
+            assert row[:2] == model.objectives(config)
+            assert row[2:] == model.busy_times(config)
 
     def test_identically_calibrated_models_share_one_tensor(
         self, tiny_spec, tiny_workload
